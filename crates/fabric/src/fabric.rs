@@ -187,6 +187,8 @@ pub struct SimFabric {
     member_set: HashSet<NodeId>,
     /// Pre-rendered `bytes.<kind>` counter name (one per send otherwise).
     bytes_counter: String,
+    /// Pre-rendered `tx:<kind>` send span name, for the same reason.
+    tx_span: String,
     nics: HashMap<NodeId, NicState>,
     state: Mutex<FabricState>,
     faults: FaultInjector,
@@ -237,6 +239,7 @@ impl SimFabric {
             member_set: members.iter().copied().collect(),
             members,
             bytes_counter: format!("bytes.{kind}"),
+            tx_span: format!("tx:{kind}"),
             nics,
             state: Mutex::new(FabricState::default()),
             faults: FaultInjector::new(),
@@ -472,12 +475,8 @@ impl SimFabric {
         // The span wraps the whole driver-level send, failures included:
         // a trace of a failover shows the refused attempt on the dead
         // fabric next to the retry on the surviving one.
-        let mut span = padico_util::span::child(
-            clock,
-            src.node.0,
-            "fabric.link",
-            format!("tx:{}", self.kind()),
-        );
+        let mut span =
+            padico_util::span::child(clock, src.node.0, "fabric.link", self.tx_span.as_str());
         let len = payload.len();
         let result = self.send_from_inner(src, clock, dst, channel, payload);
         match &result {

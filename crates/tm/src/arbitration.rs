@@ -702,11 +702,14 @@ impl NetAccess {
             node: dst,
             port: TM_SERVICE_PORT,
         };
-        match att
-            .endpoint
-            .send(&self.clock, dst_addr, channel, payload.clone())
-        {
-            Err(FabricError::NoMapping { .. }) => {
+        // Only mapping-table fabrics can refuse with `NoMapping`, so only
+        // they keep a copy of the payload for the retry.
+        let retry_copy = att.fabric.requires_mapping().then(|| payload.clone());
+        match (
+            att.endpoint.send(&self.clock, dst_addr, channel, payload),
+            retry_copy,
+        ) {
+            (Err(FabricError::NoMapping { .. }), Some(payload)) => {
                 // Re-establish on demand, then retry the send once. If the
                 // mapping hardware is dead this surfaces LinkDown and the
                 // caller fails over to another fabric.
@@ -719,7 +722,7 @@ impl NetAccess {
                     .send(&self.clock, dst_addr, channel, payload)
                     .map_err(TmError::from)
             }
-            other => other.map_err(TmError::from),
+            (other, _) => other.map_err(TmError::from),
         }
     }
 
@@ -957,6 +960,27 @@ mod tests {
         }
         b.shutdown();
         a.shutdown();
+    }
+
+    #[test]
+    fn lost_mapping_is_re_established_and_the_payload_resent() {
+        let mut topo = padico_fabric::Topology::builder();
+        let ids = topo.machine("n", "cluster", 2, padico_fabric::SecurityZone::Trusted);
+        topo.fabric(padico_fabric::presets::sci(), ids.clone());
+        let topo = topo.build();
+        let a = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
+        let b = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
+        let sci = Arc::clone(&topo.fabrics()[0]);
+        let ch = fresh_channel();
+        let rx = b.subscribe(ch).unwrap();
+        // The mapping bring-up established is gone; the first send is
+        // refused with NoMapping and the retry must carry the same bytes.
+        sci.unmap_remote(ids[0], ids[1]);
+        a.send(sci.id(), ids[1], ch, Payload::from_vec(vec![7, 8, 9]))
+            .unwrap();
+        assert_eq!(rx.recv(b.clock()).unwrap().payload.to_vec(), vec![7, 8, 9]);
+        assert_eq!(a.recovery().mapping_remaps.load(Ordering::Relaxed), 1);
+        assert_eq!(sci.mappings_in_use(ids[0]), 1);
     }
 
     #[test]

@@ -177,7 +177,8 @@ impl ResourceTimeline {
         let mut busy = self.busy.lock();
         let mut start = not_before;
         let mut at = busy.len();
-        for (i, &(s, e)) in busy.iter().enumerate() {
+        let first = Self::locate(&busy, not_before);
+        for (i, &(s, e)) in busy.iter().enumerate().skip(first) {
             if start + dur <= s {
                 at = i;
                 break;
@@ -205,13 +206,26 @@ impl ResourceTimeline {
     pub fn next_idle(&self, t: Vt) -> Vt {
         let busy = self.busy.lock();
         let mut at = t;
-        for &(s, e) in busy.iter() {
+        for &(s, e) in &busy[Self::locate(&busy, t)..] {
             if at < s {
                 break;
             }
             at = at.max(e);
         }
         at
+    }
+
+    /// Index of the first busy interval that ends after `not_before` — the
+    /// only place a forward scan for `not_before` can start to matter.
+    /// Every interval before it ends at or before `not_before`: it can
+    /// neither hold a request (the request would start at or after its
+    /// end) nor push `start` forward (`start.max(e)` is a no-op), so
+    /// skipping it leaves every grant unchanged. The list is sorted and
+    /// disjoint, hence sorted by end too, so this is a binary search and a
+    /// grant costs O(log n + k) for the k intervals it actually inspects,
+    /// independent of how much history the resource has carried.
+    fn locate(busy: &[(Vt, Vt)], not_before: Vt) -> usize {
+        busy.partition_point(|&(_, e)| e <= not_before)
     }
 
     /// The time after which the resource is permanently free (end of the
@@ -359,6 +373,149 @@ mod tests {
         for e in ends {
             assert!(e >= 1000, "each user gets at most half the rate: {e}");
         }
+    }
+
+    /// The pre-`locate` timeline, kept verbatim as the reference the
+    /// binary-search version must match grant for grant: both scans walk
+    /// the busy list from virtual time zero.
+    #[derive(Default)]
+    struct LinearTimeline {
+        busy: Vec<(Vt, Vt)>,
+    }
+
+    impl LinearTimeline {
+        fn reserve(&mut self, not_before: Vt, dur: VtDuration) -> Reservation {
+            if dur == 0 {
+                let start = self.next_idle(not_before);
+                return Reservation { start, end: start };
+            }
+            let busy = &mut self.busy;
+            let mut start = not_before;
+            let mut at = busy.len();
+            for (i, &(s, e)) in busy.iter().enumerate() {
+                if start + dur <= s {
+                    at = i;
+                    break;
+                }
+                start = start.max(e);
+            }
+            let end = start + dur;
+            let merge_prev = at > 0 && busy[at - 1].1 == start;
+            let merge_next = at < busy.len() && busy[at].0 == end;
+            match (merge_prev, merge_next) {
+                (true, true) => {
+                    busy[at - 1].1 = busy[at].1;
+                    busy.remove(at);
+                }
+                (true, false) => busy[at - 1].1 = end,
+                (false, true) => busy[at].0 = start,
+                (false, false) => busy.insert(at, (start, end)),
+            }
+            Reservation { start, end }
+        }
+
+        fn next_idle(&self, t: Vt) -> Vt {
+            let mut at = t;
+            for &(s, e) in self.busy.iter() {
+                if at < s {
+                    break;
+                }
+                at = at.max(e);
+            }
+            at
+        }
+
+        fn horizon(&self) -> Vt {
+            self.busy.last().map_or(0, |&(_, e)| e)
+        }
+    }
+
+    /// One `(not_before, dur)` request shaped against the current busy
+    /// list, so every case the locate step must get right comes up often:
+    /// zero-length use, backfill into an old gap, an exact fit that merges
+    /// both neighbours, `not_before` on an interval's end or start or
+    /// inside it, and appends at or past the horizon.
+    fn shaped_request(rng: &mut proptest::TestRng, busy: &[(Vt, Vt)]) -> (Vt, VtDuration) {
+        let horizon = busy.last().map_or(0, |&(_, e)| e);
+        let pick = |rng: &mut proptest::TestRng| busy[rng.below(busy.len() as u64) as usize];
+        let small = |rng: &mut proptest::TestRng| 1 + rng.below(40);
+        match (rng.below(8), busy.is_empty()) {
+            (0, _) => (rng.below(horizon + 50), 0),
+            (1, false) => (pick(rng).1, 0),
+            (2, _) => (rng.below(horizon + 1), small(rng)),
+            (3, false) if busy.len() >= 2 => {
+                let i = rng.below(busy.len() as u64 - 1) as usize;
+                let (gap_start, gap_end) = (busy[i].1, busy[i + 1].0);
+                (gap_start, gap_end - gap_start)
+            }
+            (4, false) => (pick(rng).1, small(rng)),
+            (5, false) => {
+                let (s, e) = pick(rng);
+                (s + rng.below(e - s), small(rng))
+            }
+            (6, _) => (horizon, small(rng)),
+            _ => (horizon + rng.below(60), small(rng)),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn timeline_locate_matches_linear_scan(seed in proptest::any::<u64>()) {
+            let mut rng = proptest::TestRng::new(seed);
+            let fast = ResourceTimeline::new();
+            let mut slow = LinearTimeline::default();
+            for step in 0..300 {
+                let (not_before, dur) = shaped_request(&mut rng, &slow.busy);
+                let got = fast.reserve(not_before, dur);
+                let want = slow.reserve(not_before, dur);
+                proptest::prop_assert_eq!(got, want, "step {} reserve({}, {})", step, not_before, dur);
+                proptest::prop_assert_eq!(&*fast.busy.lock(), &slow.busy, "step {}", step);
+                proptest::prop_assert_eq!(fast.horizon(), slow.horizon());
+                let probe = rng.below(slow.horizon() + 20);
+                for t in [not_before, got.start, got.end, probe] {
+                    proptest::prop_assert_eq!(fast.next_idle(t), slow.next_idle(t), "next_idle({})", t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timeline_grants_hold_over_long_histories() {
+        // 100k spaced reservations leave 100k disjoint intervals, the shape
+        // of a NIC's busy list after a long run of small messages.
+        let t = ResourceTimeline::new();
+        for i in 0..100_000u64 {
+            let r = t.reserve(i * 10, 4);
+            assert_eq!(
+                r,
+                Reservation {
+                    start: i * 10,
+                    end: i * 10 + 4
+                }
+            );
+        }
+        assert_eq!(t.busy.lock().len(), 100_000);
+        assert_eq!(t.horizon(), 999_994);
+        // A backfill far in the past lands in its old gap and merges with
+        // both neighbours.
+        assert_eq!(t.reserve(14, 6), Reservation { start: 14, end: 20 });
+        assert_eq!(t.busy.lock()[1], (10, 24));
+        // One whose `not_before` falls inside a busy interval waits for its
+        // end and extends it.
+        assert_eq!(t.reserve(21, 5), Reservation { start: 24, end: 29 });
+        assert_eq!(t.next_idle(12), 29);
+        assert_eq!(t.next_idle(29), 29);
+        // An append at the horizon extends the last interval.
+        assert_eq!(
+            t.reserve(999_994, 6),
+            Reservation {
+                start: 999_994,
+                end: 1_000_000
+            }
+        );
+        assert_eq!(t.horizon(), 1_000_000);
+        assert_eq!(t.next_idle(999_990), 1_000_000);
+        assert_eq!(t.busy.lock().len(), 99_999);
     }
 
     #[test]
